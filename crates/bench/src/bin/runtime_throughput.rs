@@ -16,15 +16,19 @@
 //! * **staleness** — for every reader query, how far behind the
 //!   writer's clock the loaded snapshot was (p50/p99), i.e. the price
 //!   of the epoch-swapped read path versus querying the directory
-//!   directly.
+//!   directly;
+//! * **publish latency** — p50/p99 of one snapshot publication with 1%
+//!   of the cached rows changed since the previous one: the cost of
+//!   merging a change batch into the persistent snapshot.
 //!
 //! Run modes:
 //! * `--smoke` — 10k cached sessions, sub-second phases; prints the
 //!   table and exits non-zero if the single-reader query rate or the
 //!   combined-phase writer ingest rate falls below its floor, if the
-//!   p99 staleness exceeds its ceiling, or if the reader query path
-//!   performs *any* heap allocation (counting-allocator audit).  Used
-//!   by `scripts/check.sh`.
+//!   p99 staleness or p99 publish latency exceeds its ceiling, if any
+//!   publication after the first was a full build, or if the reader
+//!   query path performs *any* heap allocation (counting-allocator
+//!   audit).  Used by `scripts/check.sh`.
 //! * full (no flag) — 100k cached sessions, multi-second phases,
 //!   reader counts 1/2/4; writes `results_full/BENCH_runtime.json`.
 //!
@@ -102,6 +106,8 @@ struct Knobs {
     reader_counts: Vec<usize>,
     /// Snapshot publication cadence for the writer.
     cadence: SnapshotCadence,
+    /// Timed publications in the publish-latency phase.
+    publish_rounds: usize,
 }
 
 fn media() -> Vec<Media> {
@@ -134,15 +140,17 @@ fn session(i: usize, space: &AddrSpace) -> SessionDescription {
     }
 }
 
+/// Session `i`'s announcement at `version`.
+fn packet(i: usize, version: u64, space: &AddrSpace) -> SapPacket {
+    let mut d = session(i, space);
+    d.origin.version = version;
+    SapPacket::announce(d.origin.address, d.origin.session_id as u16, d.format())
+}
+
 /// Wire-format announcement fixtures, built up front so the timed
 /// windows see only the receive path.
 fn packets(n: usize, space: &AddrSpace) -> Vec<SapPacket> {
-    (0..n)
-        .map(|i| {
-            let d = session(i, space);
-            SapPacket::announce(d.origin.address, d.origin.session_id as u16, d.format())
-        })
-        .collect()
+    (0..n).map(|i| packet(i, 1, space)).collect()
 }
 
 /// p50/p99 of a sample set.  Sorts in place; (0, 0) when empty.
@@ -285,6 +293,43 @@ fn combined_phase(
     (dir, publisher, row)
 }
 
+/// Publish latency with 1% of the rows changed per publication.
+/// Each round bumps the version of `sessions / 100` random sessions
+/// through `on_packet` (untimed), then times one publication.
+/// Returns (changed rows per round, p50 ns, p99 ns).
+fn publish_latency(
+    dir: &mut SessionDirectory,
+    publisher: &mut SnapshotPublisher,
+    clock: &WallClock,
+    space: &AddrSpace,
+    rounds: usize,
+) -> (usize, u64, u64) {
+    let n = dir.cached_sessions();
+    let dirty = (n / 100).max(1);
+    let mut versions = vec![1u64; n];
+    let mut rng = SimRng::new(53);
+    let mut samples = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let batch: Vec<SapPacket> = (0..dirty)
+            .map(|_| {
+                let i = rng.below(n as u64) as usize;
+                versions[i] += 1;
+                packet(i, versions[i], space)
+            })
+            .collect();
+        for pkt in &batch {
+            let (out, _) = dir.on_packet(clock.now(), pkt, &mut rng);
+            black_box(out.len());
+        }
+        publisher.note_updates(dirty as u64);
+        let start = Instant::now();
+        publisher.publish(clock.now(), dir);
+        samples.push(start.elapsed().as_nanos() as u64);
+    }
+    let (p50, p99) = percentiles(&mut samples);
+    (dirty, p50, p99)
+}
+
 /// Allocation events across a burst of reader passes on a published
 /// snapshot.  Run with no other threads live, so every counted event
 /// is the reader's.  Returns (passes, events).
@@ -320,6 +365,20 @@ fn reader_alloc_audit(handle: &SnapshotHandle, clock: &WallClock, space: &AddrSp
 const SMOKE_READER_QPS_FLOOR: f64 = 5_000.0;
 const SMOKE_WRITER_APS_FLOOR: f64 = 1_000.0;
 const SMOKE_STALENESS_P99_CEILING_MS: f64 = 1_000.0;
+/// The publish ceiling holds for an optimised build.  An unoptimised
+/// one runs the same merge several times slower, so it gets a ceiling
+/// ten times higher — still far below the tens of milliseconds an
+/// O(rows) publication takes at the smoke size.  `scripts/check.sh`
+/// runs the smoke in both profiles.
+const SMOKE_PUBLISH_P99_CEILING_MS: f64 = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+
+/// What the publish-latency phase measured.
+struct PublishRow {
+    dirty_rows: usize,
+    p50_ms: f64,
+    p99_ms: f64,
+    full_builds: u64,
+}
 
 #[allow(clippy::too_many_arguments)]
 fn render_json(
@@ -328,6 +387,7 @@ fn render_json(
     cold_aps: f64,
     steady_aps: f64,
     rows: &[PhaseRow],
+    publish: &PublishRow,
     scaling_4v1: Option<f64>,
     gate_applied: bool,
     alloc_events: u64,
@@ -351,6 +411,10 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"publish\": {{\"rows\": {}, \"dirty_rows\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"full_builds\": {}}},\n",
+        knobs.sessions, publish.dirty_rows, publish.p50_ms, publish.p99_ms, publish.full_builds,
+    ));
     let ratio = scaling_4v1.map_or("null".to_string(), |s| format!("{s:.2}"));
     out.push_str(&format!("  \"scaling_4v1\": {ratio},\n"));
     out.push_str(&format!("  \"scaling_gate_applied\": {gate_applied},\n"));
@@ -372,6 +436,7 @@ fn main() {
                 min_interval: SimDuration::from_millis(50),
                 max_pending: 50_000,
             },
+            publish_rounds: 50,
         }
     } else {
         Knobs {
@@ -383,6 +448,7 @@ fn main() {
                 min_interval: SimDuration::from_millis(250),
                 max_pending: 500_000,
             },
+            publish_rounds: 200,
         }
     };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -439,6 +505,21 @@ fn main() {
         rows.push(row);
     }
 
+    // Publish latency at 1% dirty, after the steady-state ingest.
+    let (dirty_rows, p50_ns, p99_ns) = publish_latency(
+        &mut dir,
+        &mut publisher,
+        &clock,
+        &space,
+        knobs.publish_rounds,
+    );
+    let publish = PublishRow {
+        dirty_rows,
+        p50_ms: p50_ns as f64 / 1e6,
+        p99_ms: p99_ns as f64 / 1e6,
+        full_builds: publisher.stats().full_builds,
+    };
+
     // Reader allocation audit, with every worker thread joined.
     let (audit_passes, audit_events) = reader_alloc_audit(&handle, &clock, &space);
 
@@ -461,6 +542,10 @@ fn main() {
             r.staleness_p99_ms,
         );
     }
+    println!(
+        "publish with {} of {} rows changed: p50 {:.3}ms p99 {:.3}ms; full builds {}",
+        publish.dirty_rows, knobs.sessions, publish.p50_ms, publish.p99_ms, publish.full_builds
+    );
     println!("reader allocation events: {audit_events} across {audit_passes} query passes");
 
     let single = rows.iter().find(|r| r.readers == 1);
@@ -491,6 +576,7 @@ fn main() {
             cold_aps,
             steady_aps,
             &rows,
+            &publish,
             scaling_4v1,
             gate_applied,
             audit_events,
@@ -520,6 +606,22 @@ fn main() {
         }
     }
     if smoke {
+        if publish.p99_ms > SMOKE_PUBLISH_P99_CEILING_MS {
+            eprintln!(
+                "REGRESSION: p99 publish latency {:.3}ms with {} of {} rows changed exceeds \
+                 the {SMOKE_PUBLISH_P99_CEILING_MS}ms ceiling",
+                publish.p99_ms, publish.dirty_rows, knobs.sessions
+            );
+            failed = true;
+        }
+        if publish.full_builds != 1 {
+            eprintln!(
+                "REGRESSION: {} full snapshot builds during steady-state ingest (expected \
+                 exactly 1, the first publication)",
+                publish.full_builds
+            );
+            failed = true;
+        }
         if let Some(s) = single {
             if s.reader_qps < SMOKE_READER_QPS_FLOOR {
                 eprintln!(

@@ -264,8 +264,23 @@ impl<T: SapTransport> AgentDriver<T> {
         Ok(true)
     }
 
+    /// How long the next receive may block: until the directory's next
+    /// deadline or, while updates wait unpublished, the publisher's next
+    /// due time — whichever comes first — within `[min_wait, idle_wait]`.
+    fn listen_budget(&mut self, now: SimTime) -> Duration {
+        let wake = match (self.directory.next_deadline(), self.publisher.next_due()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        match wake {
+            Some(at) => Duration::from_nanos(at.saturating_since(now).as_nanos())
+                .clamp(self.cfg.min_wait, self.cfg.idle_wait),
+            None => self.cfg.idle_wait,
+        }
+    }
+
     /// One pump iteration: run due timers, publish if due, listen until
-    /// the next deadline (capped), ingest what arrives.
+    /// the next deadline or publication (capped), ingest what arrives.
     pub fn step(&mut self) -> io::Result<()> {
         self.telemetry.inc(self.c_steps);
         let now = self.clock.now();
@@ -279,13 +294,7 @@ impl<T: SapTransport> AgentDriver<T> {
         if self.publisher.maybe_publish(now, &self.directory) {
             self.telemetry.inc(self.c_snapshots);
         }
-        let wait = match self.directory.next_deadline() {
-            Some(d) => {
-                let gap = Duration::from_nanos(d.saturating_since(now).as_nanos());
-                gap.clamp(self.cfg.min_wait, self.cfg.idle_wait)
-            }
-            None => self.cfg.idle_wait,
-        };
+        let wait = self.listen_budget(now);
         if let Some(pkt) = self.transport.recv(wait)? {
             let rnow = self.clock.now();
             self.ingest(rnow, &pkt)?;
@@ -547,5 +556,111 @@ fn driver_exit<T: SapTransport>(driver: &mut AgentDriver<T>, error: Option<Strin
         flight_dump: driver.directory.flight_dump_json("runtime agent exit"),
         snapshot_stats: driver.publisher.stats(),
         error,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::net::Ipv4Addr;
+    use std::sync::Mutex;
+
+    use sdalloc_core::InformedRandomAllocator;
+    use sdalloc_sap::{Origin, SapPacket, SessionDescription};
+    use sdalloc_sim::SimDuration;
+
+    use super::*;
+
+    /// A transport that hands out scripted packets and records every
+    /// receive budget it is asked to wait, without ever blocking.
+    #[derive(Default)]
+    struct Script {
+        inbox: VecDeque<SapPacket>,
+        waits: Vec<Duration>,
+    }
+
+    struct Scripted(Arc<Mutex<Script>>);
+
+    impl SapTransport for Scripted {
+        fn send(&self, _pkt: &SapPacket) -> io::Result<usize> {
+            Ok(0)
+        }
+
+        fn recv(&self, timeout: Duration) -> io::Result<Option<SapPacket>> {
+            let mut s = self.0.lock().expect("script lock");
+            s.waits.push(timeout);
+            Ok(s.inbox.pop_front())
+        }
+    }
+
+    fn announcement() -> SapPacket {
+        let origin = Ipv4Addr::new(10, 0, 0, 2);
+        let desc = SessionDescription {
+            origin: Origin {
+                username: "-".into(),
+                session_id: 7,
+                version: 1,
+                address: origin,
+            },
+            name: "seminar".into(),
+            info: None,
+            group: Ipv4Addr::new(224, 2, 128, 9),
+            ttl: 63,
+            start: 0,
+            stop: 0,
+            media: vec![],
+        };
+        SapPacket::announce(origin, 7, desc.format())
+    }
+
+    #[test]
+    fn quiet_agent_wakes_for_its_publish_deadline() {
+        let script = Arc::new(Mutex::new(Script::default()));
+        script
+            .lock()
+            .expect("script lock")
+            .inbox
+            .push_back(announcement());
+        let vclock = VirtualClock::new();
+        let cfg = DriverConfig {
+            min_wait: Duration::from_millis(1),
+            idle_wait: Duration::from_secs(10),
+            drain_batch: 4,
+            cadence: SnapshotCadence {
+                min_interval: SimDuration::from_millis(100),
+                max_pending: 1_000,
+            },
+        };
+        let mut driver = AgentDriver::new(
+            0,
+            1,
+            DirectoryConfig::new(Ipv4Addr::new(10, 0, 0, 1)),
+            Box::new(InformedRandomAllocator),
+            Scripted(Arc::clone(&script)),
+            Arc::new(vclock.clone()),
+            cfg,
+        );
+        let last_wait = |script: &Mutex<Script>| {
+            let s = script.lock().expect("script lock");
+            s.waits.iter().rev().copied().find(|w| !w.is_zero())
+        };
+        // t = 0: the first publication goes out at once; then the
+        // announcement arrives and leaves one update pending.
+        driver.step().expect("step");
+        assert_eq!(driver.snapshot_stats().published, 1);
+        // t = 30 ms: nothing else arrives, so the receive must give up
+        // when the publication falls due (t = 100 ms), not after the
+        // 10 s idle budget.
+        vclock.advance_to(SimTime::from_millis(30));
+        driver.step().expect("step");
+        assert_eq!(driver.snapshot_stats().published, 1, "not yet due");
+        assert_eq!(last_wait(&script), Some(Duration::from_millis(70)));
+        vclock.advance_to(SimTime::from_millis(100));
+        driver.step().expect("step");
+        assert_eq!(driver.snapshot_stats().published, 2);
+        let snap = driver.snapshot_handle().load_slow();
+        assert!(snap.get(Ipv4Addr::new(10, 0, 0, 2), 7).is_some());
+        // Nothing pending any more: the budget is no longer clamped.
+        assert!(last_wait(&script).is_some_and(|w| w > Duration::from_secs(1)));
     }
 }

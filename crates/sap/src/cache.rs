@@ -74,6 +74,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sdalloc_core::{AddrSpace, VisibleSession};
 use sdalloc_sim::{SimDuration, SimTime};
@@ -97,6 +98,96 @@ pub const DIGEST_SEED: u64 = 0x5d1c_4a11_0c8d_1697;
 /// administrative-scope nesting (site ≤ 15, region ≤ 63, continent
 /// ≤ 127, world above).
 pub const TTL_BANDS: usize = 4;
+
+/// The change log keeps at least this many keys (see [`ChangeLog`]).
+pub const CHANGE_LOG_FLOOR: usize = 4096;
+
+/// Source of [`ChangeLog`] instance ids: every cache (and every clone
+/// of one) logs under an id no other cache in the process has used.
+/// The counter publishes no other data, so `Relaxed` suffices.
+static NEXT_LOG_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+/// A position in one cache's [`ChangeLog`]: which log, and how many
+/// changes it had recorded.  Opaque; compare it only through
+/// [`ChangeLog::since`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChangeCursor {
+    instance: u64,
+    seq: u64,
+}
+
+/// Bounded log of the keys whose cached state changed: admitted,
+/// modified, or removed (delete, eviction, expiry).  Refreshes are not
+/// logged — they change nothing a reader of the cache's contents sees
+/// except `last_heard`.
+///
+/// Sequence numbers are monotone per log; `keys[i]` is change number
+/// `base + i`.  Once the log holds more than max([`CHANGE_LOG_FLOOR`],
+/// live entries) keys it drops its older half and advances `base`, so
+/// its size stays O(cache).  A consumer that fell behind the base —
+/// or holds a cursor from another log, e.g. from before a restart
+/// rebuilt the cache — gets `None` from [`Self::since`] and must
+/// rebuild from the full cache instead.
+#[derive(Debug)]
+pub struct ChangeLog {
+    instance: u64,
+    base: u64,
+    keys: Vec<CacheKey>,
+}
+
+impl ChangeLog {
+    fn new() -> ChangeLog {
+        ChangeLog {
+            instance: NEXT_LOG_INSTANCE.fetch_add(1, Ordering::Relaxed),
+            base: 0,
+            keys: Vec::new(), // lint:allow(hot-alloc): an empty Vec does not allocate; a log is built only with a new or cloned cache, never per packet
+        }
+    }
+
+    /// Log one changed key; `live` is the cache's entry count.
+    // lint:allow(wire-taint): the log is bounded — it halves once it exceeds max(CHANGE_LOG_FLOOR, live entries)
+    fn record(&mut self, key: CacheKey, live: usize) {
+        self.keys.push(key);
+        if self.keys.len() > live.max(CHANGE_LOG_FLOOR) {
+            let half = self.keys.len() / 2;
+            self.keys.drain(..half); // lint:allow(hot-path-scan): amortised O(1) per logged change — runs once per max(4096, live) changes
+            self.base += half as u64;
+        }
+    }
+
+    /// The cursor just past the newest logged change.
+    pub fn head(&self) -> ChangeCursor {
+        ChangeCursor {
+            instance: self.instance,
+            seq: self.base + self.keys.len() as u64,
+        }
+    }
+
+    /// The keys logged since `cursor` (oldest first, possibly with
+    /// repeats), or `None` when `cursor` belongs to another log or
+    /// predates the retained window.
+    pub fn since(&self, cursor: ChangeCursor) -> Option<&[CacheKey]> {
+        if cursor.instance != self.instance {
+            return None;
+        }
+        let skip = usize::try_from(cursor.seq.checked_sub(self.base)?).ok()?;
+        self.keys.get(skip..)
+    }
+
+    /// Number of keys currently retained.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
+impl Clone for ChangeLog {
+    /// A clone is a different cache: it starts a fresh log under a new
+    /// instance id, so no cursor into the original is valid for it.
+    fn clone(&self) -> ChangeLog {
+        ChangeLog::new()
+    }
+}
 
 /// Cache key: who announced, which of their sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -312,6 +403,8 @@ pub struct AnnouncementCache {
     /// Reused output buffer for the purge methods: no allocation on the
     /// (overwhelmingly common) calls where nothing expires.
     scratch: Vec<CacheKey>,
+    /// Keys admitted, modified or removed, for incremental consumers.
+    changes: ChangeLog,
 }
 
 impl AnnouncementCache {
@@ -335,7 +428,14 @@ impl AnnouncementCache {
             origin_keys: HashMap::new(),
             unverified: BTreeSet::new(),
             scratch: Vec::new(),
+            changes: ChangeLog::new(),
         }
+    }
+
+    /// The log of keys admitted, modified or removed since this cache
+    /// was built (bounded; see [`ChangeLog`]).
+    pub fn changes(&self) -> &ChangeLog {
+        &self.changes
     }
 
     /// The TTL partition band a scope falls in: site (≤ 15), region
@@ -481,6 +581,7 @@ impl AnnouncementCache {
                     .or_default()
                     .insert(key.session_id);
                 self.unverified.insert((now, key));
+                self.changes.record(key, self.ids.len());
                 CacheUpdate::New
             }
             Some(id) => {
@@ -564,6 +665,7 @@ impl AnnouncementCache {
                     self.unverified.remove(&(first_heard, key));
                 }
                 if modified {
+                    self.changes.record(key, self.ids.len());
                     CacheUpdate::Modified
                 } else {
                     CacheUpdate::Refreshed
@@ -619,6 +721,7 @@ impl AnnouncementCache {
         self.forget_record(key, &rec);
         self.release_record(rec);
         // The expiry slot is discarded lazily.
+        self.changes.record(key, self.ids.len());
         true
     }
 
@@ -638,6 +741,7 @@ impl AnnouncementCache {
         .to_entry();
         self.release_record(rec);
         // The expiry slot is discarded lazily.
+        self.changes.record(key, self.ids.len());
         Some(entry)
     }
 
@@ -704,6 +808,7 @@ impl AnnouncementCache {
                             self.forget_record(key, &rec);
                             self.release_record(rec);
                         }
+                        self.changes.record(key, self.ids.len());
                         self.scratch.push(key); // lint:allow(wire-taint): purge output buffer — cleared at entry, holds only keys being removed, shrinks the cache
                     } else {
                         // Unreachable in practice (pushed == last_heard
@@ -1446,5 +1551,72 @@ mod tests {
         let entry = e.to_entry();
         assert_eq!(entry.desc, d);
         assert_eq!(entry.announcements, 1);
+    }
+
+    #[test]
+    fn change_log_records_admit_modify_and_every_removal_but_not_refresh() {
+        let mut c = AnnouncementCache::new(SimDuration::from_secs(100));
+        let start = c.changes().head();
+        let d1 = desc([10, 0, 0, 1], 1, 1, [224, 2, 128, 1], 63);
+        c.observe_announce(t(0), d1.clone());
+        c.observe_announce(t(1), d1.clone()); // refresh
+        let mut d2 = d1.clone();
+        d2.origin.version = 2;
+        c.observe_announce(t(2), d2.clone());
+        c.observe_announce(t(3), d2); // refresh of the new version
+        let k1 = CacheKey {
+            origin: Ipv4Addr::new(10, 0, 0, 1),
+            session_id: 1,
+        };
+        assert_eq!(c.changes().since(start), Some(&[k1, k1][..]));
+        // Delete, evict and expiry each log the removed key.
+        c.observe_announce(t(4), desc([10, 0, 0, 2], 2, 1, [224, 2, 128, 2], 63));
+        c.observe_announce(t(5), desc([10, 0, 0, 3], 3, 1, [224, 2, 128, 3], 63));
+        let mark = c.changes().head();
+        assert!(c.observe_delete(Ipv4Addr::new(10, 0, 0, 1), 1));
+        assert!(!c.observe_delete(Ipv4Addr::new(10, 0, 0, 1), 1));
+        let k2 = CacheKey {
+            origin: Ipv4Addr::new(10, 0, 0, 2),
+            session_id: 2,
+        };
+        assert!(c.evict(k2).is_some());
+        assert_eq!(c.purge_expired(t(200)).len(), 1);
+        let k3 = CacheKey {
+            origin: Ipv4Addr::new(10, 0, 0, 3),
+            session_id: 3,
+        };
+        assert_eq!(c.changes().since(mark), Some(&[k1, k2, k3][..]));
+        assert_eq!(c.changes().since(c.changes().head()), Some(&[][..]));
+    }
+
+    #[test]
+    fn change_log_is_bounded_and_breaks_stale_cursors() {
+        let mut c = AnnouncementCache::new(SimDuration::from_secs(100));
+        let start = c.changes().head();
+        let mut d = desc([10, 0, 0, 1], 1, 1, [224, 2, 128, 1], 63);
+        let mut mid = start;
+        for v in 1..=3 * CHANGE_LOG_FLOOR as u64 {
+            d.origin.version = v;
+            c.observe_announce(t(0), d.clone());
+            assert!(c.changes().len() <= CHANGE_LOG_FLOOR);
+            if v == 2 * CHANGE_LOG_FLOOR as u64 {
+                mid = c.changes().head();
+            }
+        }
+        // The oldest cursor fell behind the retained window; a recent
+        // one still reads exactly the changes after it.
+        assert_eq!(c.changes().since(start), None);
+        assert_eq!(
+            c.changes().since(mid).map(<[CacheKey]>::len),
+            Some(CHANGE_LOG_FLOOR)
+        );
+        // Another cache — a rebuilt one, or a clone — never honours it.
+        let rebuilt = AnnouncementCache::new(SimDuration::from_secs(100));
+        assert_eq!(
+            rebuilt.changes().since(rebuilt.changes().head()),
+            Some(&[][..])
+        );
+        assert_eq!(rebuilt.changes().since(mid), None);
+        assert_eq!(c.clone().changes().since(c.changes().head()), None);
     }
 }

@@ -46,7 +46,8 @@ pub mod testbed;
 pub mod wire;
 
 pub use cache::{
-    AnnouncementCache, CacheEntry, CacheKey, CacheUpdate, EntryRef, DIGEST_BUCKETS, TTL_BANDS,
+    AnnouncementCache, CacheEntry, CacheKey, CacheUpdate, ChangeCursor, ChangeLog, EntryRef,
+    DIGEST_BUCKETS, TTL_BANDS,
 };
 pub use directory::{
     CreateError, DirectoryConfig, DirectoryEvent, GovernorConfig, ReconcileConfig,

@@ -140,7 +140,18 @@ impl SapSocket {
     /// `Ok(None)` once the timeout is spent or on an undecodable
     /// datagram.  Signal interruptions are retried internally with the
     /// remaining budget rather than reported as a (fake) timeout.
+    ///
+    /// A zero budget never blocks: it takes the non-blocking
+    /// [`Self::try_recv`] path.  (A blocking read needs a non-zero
+    /// timeout, which the kernel rounds up to a scheduler tick — a
+    /// multi-millisecond stall after every drained burst.)
     pub fn recv_timeout(&self, timeout: Duration) -> io::Result<Option<SapPacket>> {
+        if timeout.is_zero() {
+            return Ok(match self.try_recv()? {
+                RecvOutcome::Packet(pkt) => Some(pkt),
+                _ => None,
+            });
+        }
         let deadline = Instant::now() + timeout;
         let mut remaining = timeout;
         loop {
@@ -678,6 +689,32 @@ mod tests {
         assert_eq!(
             sock.recv_timeout(Duration::from_millis(5)).expect("recv"),
             None
+        );
+    }
+
+    #[test]
+    fn zero_budget_receive_never_blocks() {
+        let Some(sock) = try_socket(29882) else {
+            return;
+        };
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert_eq!(sock.recv_timeout(Duration::ZERO).expect("recv"), None);
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        // A blocking read costs at least 1 ms every time; a poll costs
+        // microseconds.  One slow call is tolerated so that a single
+        // preemption on a busy host cannot fail the test.
+        assert!(
+            took[18] < Duration::from_millis(1),
+            "zero-budget receives blocked: {took:?}"
+        );
+        assert!(
+            took[10] < Duration::from_micros(200),
+            "zero-budget receives blocked: {took:?}"
         );
     }
 

@@ -189,7 +189,11 @@ fn readers_never_observe_torn_or_recycled_rows() {
                         regressions.fetch_add(1, Ordering::Relaxed);
                     }
                     last_version = snap.version();
-                    if !snap.rows().windows(2).all(|w| w[0].key < w[1].key) {
+                    if !snap
+                        .rows()
+                        .zip(snap.rows().skip(1))
+                        .all(|(a, b)| a.key < b.key)
+                    {
                         disorder.fetch_add(1, Ordering::Relaxed);
                     }
                     // Exercise the query surface while pinned.
